@@ -147,8 +147,10 @@ PATHENGINE_CACHE = _register(Knob(
     name="REPRO_PATHENGINE_CACHE",
     kind="path",
     default=None,
-    doc="Directory for memmapped warm-start shortest-path matrices; "
-        "unset disables persistence.",
+    doc="Artifact-cache directory: shortest-path matrices and landmark "
+        "calibration planes persist there and later processes over the "
+        "same substrate load them instead of recomputing; unset disables "
+        "persistence.",
 ))
 
 AUDIT_ENGINE = _register(Knob(

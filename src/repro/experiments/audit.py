@@ -552,6 +552,10 @@ def run_audit(scenario: Scenario,
         [scenario.client]
         + [lm.host for lm in scenario.atlas.all_landmarks()]
         + [server.host for server in servers])
+    # Likewise the calibration plane (mesh archive, CBG++ fits, landmark
+    # bank rows): loaded from the artifact cache or built in one batched
+    # pass, once, before anything forks.
+    algorithm.calibrations.ensure_plane()
 
     # Every completed payload flows through one delivery point: journal
     # first (durability before anything observes the record), then either

@@ -113,7 +113,7 @@ def build_scenario(seed: int = 0,
     atlas = AtlasConstellation(network, factory, seed=seed + 4,
                                anchor_quotas=anchor_quotas,
                                probe_quotas=probe_quotas)
-    calibrations = CalibrationSet(atlas)
+    calibrations = CalibrationSet(atlas, grid=grid)
     crowd = build_crowd(factory, worldmap, seed=seed + 5, quotas=crowd_quotas)
     ipdb = IpdbPanel(registry=registry, seed=seed + 6)
     client = factory.create(*FRANKFURT, name="client-frankfurt", os="linux")

@@ -21,11 +21,12 @@ how fields are stored and batched, never what they contain.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import sanitize
+from ..geodesy.constants import EARTH_RADIUS_KM
 from ..geodesy.greatcircle import haversine_km_vec, validate_latlon
 from .region import n_words_for, pack_bits
 
@@ -87,6 +88,11 @@ class DistanceBank:
         return len(self._views)
 
     @property
+    def n_blocks(self) -> int:
+        """Coarse blocks per field row (0 when the grid has none)."""
+        return self._n_blocks
+
+    @property
     def nbytes(self) -> int:
         """Bytes held by the field matrix (capacity, not just live rows)."""
         return self._fields.nbytes
@@ -98,7 +104,10 @@ class DistanceBank:
             return
         # Doubling growth, clamped at max_points: eviction keeps live rows
         # under the bound, so capacity beyond it would never be reached.
-        new_capacity = max(needed, min(max(8, capacity * 2), self.max_points))
+        self._reallocate(
+            max(needed, min(max(8, capacity * 2), self.max_points)))
+
+    def _reallocate(self, new_capacity: int) -> None:
         grown = np.empty((new_capacity, self.grid.n_cells), dtype=np.float32)
         grown[:self.n_points] = self._fields[:self.n_points]
         self._fields = grown
@@ -136,13 +145,18 @@ class DistanceBank:
         if not self._block_side or stop <= start:
             return
         side = self._block_side
-        shaped = self._fields[start:stop].reshape(
-            stop - start, self.grid.n_lat // side, side,
-            self.grid.n_lon // side, side)
-        self._block_min[start:stop] = shaped.min(axis=(2, 4)).reshape(
-            stop - start, self._n_blocks)
-        self._block_max[start:stop] = shaped.max(axis=(2, 4)).reshape(
-            stop - start, self._n_blocks)
+        count = stop - start
+        n_blat, n_blon = self.grid.n_lat // side, self.grid.n_lon // side
+        # Reduce each block's rows first (whole contiguous grid rows),
+        # then its columns: min and max are exact, so the order cannot
+        # change a value, and the strided reductions stay short.
+        rows = self._fields[start:stop].reshape(count, n_blat, side,
+                                                self.grid.n_lon)
+        for reduce, target in ((np.minimum.reduce, self._block_min),
+                               (np.maximum.reduce, self._block_max)):
+            target[start:stop] = reduce(
+                reduce(rows, axis=2).reshape(count, n_blat, n_blon, side),
+                axis=3).reshape(count, self._n_blocks)
 
     def _cells_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Flat cell indices covered by the given block indices."""
@@ -158,12 +172,60 @@ class DistanceBank:
                 self._n_blocks, side * side)
         return self._block_cells[blocks].ravel()
 
+    #: Fields per haversine sweep: bounds the float64 scratch at
+    #: (chunk × n_cells) however many points one call fills.
+    _FILL_CHUNK = 8
+
+    def _distance_rows(self, lats: np.ndarray, lons: np.ndarray,
+                       out: np.ndarray) -> None:
+        """Fill ``out`` with the float32 distance fields of the points.
+
+        Bit-identical to :func:`haversine_km_vec` over the cell centres,
+        operation for operation, but shaped by the grid: the latitude
+        terms of the haversine depend only on a cell's row and the
+        longitude term only on its column, so they are evaluated once
+        per row or column and broadcast.  Only the combination and the
+        ``arcsin`` run per cell, a few fields at a time, so the float64
+        temporaries stay a few MB however many points are filled.
+        """
+        grid = self.grid
+        phi2 = np.radians(grid.lat_centers)
+        cos_phi2 = np.cos(phi2)
+        chunk = min(self._FILL_CHUNK, len(lats))
+        scratch = np.empty((chunk, grid.n_lat, grid.n_lon))
+        for start in range(0, len(lats), chunk):
+            stop = min(start + chunk, len(lats))
+            a = scratch[:stop - start]
+            phi1 = np.radians(lats[start:stop])[:, None]
+            lat_term = np.sin((phi2 - phi1) / 2.0) ** 2
+            lon_term = np.sin(np.radians(
+                grid.lon_centers - lons[start:stop, None]) / 2.0) ** 2
+            # a = sin²(dphi/2) + cos(phi1)·cos(phi2)·sin²(dlam/2)
+            np.multiply((np.cos(phi1) * cos_phi2)[:, :, None],
+                        lon_term[:, None, :], out=a)
+            a += lat_term[:, :, None]
+            np.clip(a, 0.0, 1.0, out=a)
+            np.sqrt(a, out=a)
+            np.arcsin(a, out=a)
+            np.multiply(2.0 * EARTH_RADIUS_KM, a.reshape(stop - start, -1),
+                        out=out[start:stop])
+
+    def reserve(self, n_rows: int) -> None:
+        """Make room for ``n_rows`` more fields and some headroom at once.
+
+        A bulk fill that is followed by a few more points would otherwise
+        grow the matrix twice and copy every row once more on the way.
+        """
+        needed = self.n_points + n_rows
+        if needed > self._fields.shape[0]:
+            self._reallocate(max(needed, min(2 * needed, self.max_points)))
+
     def rows(self, lats: Sequence[float], lons: Sequence[float]) -> np.ndarray:
         """Row indices for a batch of points, computing any missing fields.
 
-        All missing points are filled with a single broadcasted haversine
-        sweep — the batched equivalent of the old one-point-at-a-time
-        cache fill.
+        All missing points are filled in one batched pass — bounded
+        chunks of a vectorised haversine sweep — the equivalent of the
+        old one-point-at-a-time cache fill.
         """
         memo_key = None
         if type(lats) is list and type(lons) is list:
@@ -195,12 +257,9 @@ class DistanceBank:
                         missing[key] = position
             self._grow(len(missing))
             positions = list(missing.values())
-            fresh = haversine_km_vec(
-                lats[positions][:, None], lons[positions][:, None],
-                self.grid.cell_lats[None, :], self.grid.cell_lons[None, :],
-            ).astype(np.float32)
             base = self.n_points
-            self._fields[base:base + len(positions)] = fresh
+            self._distance_rows(lats[positions], lons[positions],
+                                self._fields[base:base + len(positions)])
             for offset, key in enumerate(missing):
                 row = base + offset
                 self._row_of[key] = row
@@ -212,6 +271,63 @@ class DistanceBank:
                 self._rows_memo.pop(next(iter(self._rows_memo)))
             self._rows_memo[memo_key] = resolved
         return resolved
+
+    # -- persistence ---------------------------------------------------------
+
+    @staticmethod
+    def point_keys(lats: Sequence[float], lons: Sequence[float]
+                   ) -> List[Tuple[float, float]]:
+        """The distinct row keys of a batch of points, in first-seen order."""
+        return list(dict.fromkeys(_key(lat, lon) for lat, lon in zip(lats, lons)))
+
+    def export_rows(self, rows: np.ndarray, chunk: int = 64
+                    ) -> Iterator[np.ndarray]:
+        """The fields of ``rows`` as consecutive ``(<= chunk, n_cells)``
+        blocks, so a writer never holds a second copy of the bank."""
+        for start in range(0, len(rows), chunk):
+            yield self._fields[rows[start:start + chunk]]
+
+    def block_bounds(self, rows: np.ndarray) -> np.ndarray:
+        """``(2, len(rows), n_blocks)`` block minima and maxima of rows."""
+        return np.stack([self._block_min[rows], self._block_max[rows]])
+
+    def adopt_rows(self, keys: Sequence[Tuple[float, float]],
+                   fields: Iterable[np.ndarray], bounds: np.ndarray) -> None:
+        """Take in persisted fields for ``keys`` (see :meth:`export_rows`).
+
+        ``fields`` yields consecutive row blocks of the keys' fields,
+        e.g. straight from a file.  Each missing row is copied into the
+        bank's preallocated capacity as its block arrives, so the rows
+        exist once in memory; keys the bank already holds are skipped.
+        ``bounds`` are the matching :meth:`block_bounds`.
+        """
+        keys = [(float(lat), float(lon)) for lat, lon in keys]
+        n_missing = sum(key not in self._row_of for key in keys)
+        if self.n_points + n_missing > self.max_points:
+            self._evict_oldest_half()
+            n_missing = sum(key not in self._row_of for key in keys)
+        self.reserve(n_missing)
+        at = 0
+        for block in fields:
+            for offset in range(len(block)):
+                key = keys[at + offset]
+                if key not in self._row_of:
+                    row = self.n_points
+                    self._fields[row] = block[offset]
+                    if self._block_side:
+                        self._block_min[row] = bounds[0, at + offset]
+                        self._block_max[row] = bounds[1, at + offset]
+                    self._row_of[key] = row
+                    self._views.append(self._fields[row])
+            at += len(block)
+        if at != len(keys):
+            raise ValueError(f"got {at} fields for {len(keys)} keys")
+
+    def reference_field(self, lat: float, lon: float) -> np.ndarray:
+        """One point's field by the plain haversine formula, bypassing
+        both the stored rows and the grid-shaped fill."""
+        return haversine_km_vec(lat, lon, self.grid.cell_lats,
+                                self.grid.cell_lons).astype(np.float32)
 
     def warm(self, points: Sequence[Tuple[float, float]]) -> None:
         """Precompute fields for many points (e.g. a whole constellation).

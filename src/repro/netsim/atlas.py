@@ -19,6 +19,7 @@ import numpy as np
 from ..geodesy.greatcircle import haversine_km
 from .cities import City
 from .hosts import Host, HostFactory
+from .meshdraw import mesh_one_way_ms
 from .network import Network
 
 #: Target anchor counts per continent, mirroring the paper's Figure 3 skew.
@@ -30,6 +31,41 @@ ANCHOR_QUOTAS: Dict[str, int] = {
 PROBE_QUOTAS: Dict[str, int] = {
     "EU": 300, "NA": 180, "AS": 120, "SA": 60, "AF": 50, "OC": 40, "AU": 30, "CA": 25,
 }
+
+
+class MeshArchive:
+    """The dense mesh-ping archive: one row per landmark, one column per
+    anchor, holding the pair's minimum one-way delay in ms (NaN where a
+    landmark is the anchor itself)."""
+
+    def __init__(self, landmark_ids: np.ndarray, anchor_ids: np.ndarray,
+                 one_way_ms: np.ndarray):
+        if one_way_ms.shape != (len(landmark_ids), len(anchor_ids)):
+            raise ValueError("archive shape disagrees with its host ids")
+        self.landmark_ids = landmark_ids
+        self.anchor_ids = anchor_ids
+        self.one_way_ms = one_way_ms
+        self._row = {host_id: at
+                     for at, host_id in enumerate(landmark_ids.tolist())}
+        self._col = {host_id: at
+                     for at, host_id in enumerate(anchor_ids.tolist())}
+
+    def row_of(self, host_id: int) -> Optional[int]:
+        return self._row.get(host_id)
+
+    def col_of(self, host_id: int) -> Optional[int]:
+        return self._col.get(host_id)
+
+    def lookup(self, a: int, b: int) -> Optional[float]:
+        """The archived value of host pair ``(a, b)``, if it holds one."""
+        if a == b:
+            return None
+        row, col = self._row.get(a), self._col.get(b)
+        if row is None or col is None:
+            row, col = self._row.get(b), self._col.get(a)
+            if row is None or col is None:
+                return None
+        return float(self.one_way_ms[row, col])
 
 
 @dataclass(frozen=True)
@@ -86,8 +122,10 @@ class AtlasConstellation:
         self.anchors: List[Landmark] = []
         self.probes: List[Landmark] = []
         self.decommissioned: List[Landmark] = []
-        self._mesh_cache: Dict[Tuple[int, int], float] = {}
+        self._mesh: Optional[MeshArchive] = None
+        self._mesh_version: Optional[Tuple[int, int]] = None
         self._churn_counter = 0
+        self._membership_version = 0  # bumped by every churn
         self._place(factory, anchor_quotas or ANCHOR_QUOTAS,
                     probe_quotas or PROBE_QUOTAS)
 
@@ -146,64 +184,97 @@ class AtlasConstellation:
     def all_landmarks(self) -> List[Landmark]:
         return self.anchors + self.probes
 
-    def min_one_way_ms(self, a: Landmark, b: Landmark) -> float:
-        """Minimum observed one-way delay between two landmarks, ms.
+    def mesh_version(self) -> Tuple[int, int]:
+        """Changes whenever the archive's inputs may have: the topology
+        was mutated or the constellation churned."""
+        return (self.network.topology.version, self._membership_version)
 
-        Models the paper's use of two weeks of archived mesh pings: the
-        reported value is half the minimum of several RTT samples, seeded
-        deterministically per pair so the "database" is stable.
+    def _draw(self, pairs: Sequence[Tuple[Landmark, Landmark]]
+              ) -> np.ndarray:
+        """Fresh archive values of landmark pairs, in either order given.
+
+        Each pair is drawn in the canonical direction, higher host id
+        first, whichever landmark the caller names first.
         """
-        key = (min(a.host.host_id, b.host.host_id),
-               max(a.host.host_id, b.host.host_id))
-        cached = self._mesh_cache.get(key)
-        if cached is None:
-            pair_rng = np.random.default_rng(key)
-            # Archived data: even when lazily materialised mid-audit, the
-            # mesh ping must come from the pristine substrate, or the
-            # cached value would depend on whose measurement epoch
-            # happened to trigger it.
-            with self.network.fault_free():
-                rtt = self.network.min_rtt_ms(
-                    a.host, b.host, n=self.CALIBRATION_SAMPLES, rng=pair_rng)
-            cached = rtt / 2.0
-            self._mesh_cache[key] = cached
-        return cached
-
-    def ensure_mesh(self, pairs) -> None:
-        """Batch-materialise the archive for an iterable of landmark pairs.
-
-        The deterministic round-trip floors of every not-yet-cached pair
-        come from one vectorised :meth:`Network.base_rtt_pairs` call (one
-        batched Dijkstra over all sources involved) instead of a scalar
-        shortest-path resolution per pair.  Each pair then draws its
-        noise from the same per-pair seeded generator the scalar path
-        uses, in the same caller order, so the cached values are
-        bit-identical to lazy materialisation — including the direction
-        asymmetry: the floor is computed for the pair as *given*, exactly
-        as the first scalar caller would have.
-        """
-        todo = []
-        seen = set()
+        highs: List[Host] = []
+        lows: List[Host] = []
         for a, b in pairs:
-            if a.host.host_id == b.host.host_id:
-                continue
-            key = (min(a.host.host_id, b.host.host_id),
-                   max(a.host.host_id, b.host.host_id))
-            if key in self._mesh_cache or key in seen:
-                continue
-            seen.add(key)
-            todo.append((key, a, b))
-        if not todo:
-            return
-        bases = self.network.base_rtt_pairs(
-            [a.host for _, a, _ in todo], [b.host for _, _, b in todo])
-        with self.network.fault_free():
-            for (key, a, b), base in zip(todo, bases):
-                pair_rng = np.random.default_rng(key)
-                rtt = self.network.min_rtt_ms(
-                    a.host, b.host, n=self.CALIBRATION_SAMPLES,
-                    rng=pair_rng, base=float(base))
-                self._mesh_cache[key] = rtt / 2.0
+            high, low = (a.host, b.host) if a.host.host_id >= b.host.host_id \
+                else (b.host, a.host)
+            highs.append(high)
+            lows.append(low)
+        return mesh_one_way_ms(self.network, highs, lows,
+                               self.CALIBRATION_SAMPLES)
+
+    def ensure_mesh(self) -> MeshArchive:
+        """The current constellation's mesh archive, built on first use.
+
+        Models the paper's use of two weeks of archived mesh pings: each
+        landmark row holds the landmark's minimum observed one-way delay
+        to every anchor.  One batched draw
+        (:func:`~repro.netsim.meshdraw.mesh_one_way_ms`) computes every
+        unordered pair once, so the archive does not depend on which
+        landmark was calibrated first.  A topology mutation or churn
+        starts a new archive; a persisted one arrives through
+        :meth:`adopt_mesh`.
+        """
+        if self._mesh is not None and self._mesh_version == self.mesh_version():
+            return self._mesh
+        landmarks = self.all_landmarks()
+        archive = MeshArchive(
+            np.array([lm.host.host_id for lm in landmarks], dtype=np.int64),
+            np.array([lm.host.host_id for lm in self.anchors], dtype=np.int64),
+            np.full((len(landmarks), len(self.anchors)), np.nan))
+        ids, anchor_ids = archive.landmark_ids[:, None], archive.anchor_ids
+        is_anchor = np.isin(archive.landmark_ids, anchor_ids)
+        # Each unordered pair once: a probe row owns its pairs, and an
+        # anchor–anchor pair belongs to the row of its higher id.
+        owned = (ids != anchor_ids) & (~is_anchor[:, None] | (ids > anchor_ids))
+        rows, cols = np.nonzero(owned)
+        values = self._draw([(landmarks[row], self.anchors[col]) for row, col
+                             in zip(rows.tolist(), cols.tolist())])
+        archive.one_way_ms[rows, cols] = values
+        # Mirror each anchor–anchor value into the other anchor's row.
+        mirrored = is_anchor[rows]
+        archive.one_way_ms[
+            [archive.row_of(i) for i in anchor_ids[cols[mirrored]].tolist()],
+            [archive.col_of(i) for i in ids[rows[mirrored], 0].tolist()],
+        ] = values[mirrored]
+        self.adopt_mesh(archive)
+        return archive
+
+    def adopt_mesh(self, archive: MeshArchive) -> None:
+        """Install an archive built for the current constellation."""
+        if (archive.landmark_ids.tolist()
+                != [lm.host.host_id for lm in self.all_landmarks()]
+                or archive.anchor_ids.tolist()
+                != [lm.host.host_id for lm in self.anchors]):
+            raise ValueError("mesh archive built for another constellation")
+        self._mesh = archive
+        self._mesh_version = self.mesh_version()
+
+    def mesh_row(self, landmark: Landmark) -> np.ndarray:
+        """A landmark's archive row drawn afresh, bypassing the archive
+        (NaN where the anchor is the landmark itself)."""
+        row = np.full(len(self.anchors), np.nan)
+        cols = [at for at, anchor in enumerate(self.anchors)
+                if anchor.host.host_id != landmark.host.host_id]
+        row[cols] = self._draw([(landmark, self.anchors[at]) for at in cols])
+        return row
+
+    def min_one_way_ms(self, a: Landmark, b: Landmark) -> float:
+        """Minimum archived one-way delay between two landmarks, ms.
+
+        Half the minimum of several fault-free RTT samples, seeded per
+        pair so the "database" is stable.  Pairs outside the current
+        archive (a decommissioned anchor, two probes) are drawn on
+        demand by the same batched draw, so they get the value an
+        archive holding them would.
+        """
+        value = self.ensure_mesh().lookup(a.host.host_id, b.host.host_id)
+        if value is None:
+            value = float(self._draw([(a, b)])[0])
+        return value
 
     def calibration_data(self, landmark: Landmark,
                          peers: Optional[Sequence[Landmark]] = None
@@ -213,17 +284,32 @@ class AtlasConstellation:
         By default a landmark is calibrated against every *anchor* (probes
         do not ping the full mesh), excluding itself.
         """
-        peers = peers if peers is not None else self.anchors
-        self.ensure_mesh((landmark, peer) for peer in peers)
+        host_id = landmark.host.host_id
+        peers = [peer for peer in (self.anchors if peers is None else peers)
+                 if peer.host.host_id != host_id]
+        archive = self.ensure_mesh()
+        delays = [archive.lookup(host_id, peer.host.host_id)
+                  for peer in peers]
+        missing = [at for at, delay in enumerate(delays) if delay is None]
+        if missing:
+            drawn = self._draw([(landmark, peers[at]) for at in missing])
+            for at, value in zip(missing, drawn.tolist()):
+                delays[at] = value
+        return self.calibration_points(landmark, peers, delays)
+
+    @staticmethod
+    def calibration_points(landmark: Landmark, peers: Sequence[Landmark],
+                           delays: Sequence[Optional[float]]
+                           ) -> List[Tuple[float, float]]:
+        """Pair each peer's delay with its distance from the landmark."""
         data: List[Tuple[float, float]] = []
-        for peer in peers:
-            if peer.host.host_id == landmark.host.host_id:
-                continue
+        for peer, delay in zip(peers, delays):
+            assert delay is not None
             # Distances are computed from *reported* coordinates — the
             # pipeline cannot know a probe's registration is wrong.
             distance = haversine_km(landmark.lat, landmark.lon,
                                     peer.lat, peer.lon)
-            data.append((distance, self.min_one_way_ms(landmark, peer)))
+            data.append((distance, delay))
         if len(data) < 2:
             raise ValueError(
                 f"not enough peers to calibrate {landmark.name!r}")
@@ -237,16 +323,18 @@ class AtlasConstellation:
         there were 207 usable anchors; during the course of the
         experiment, 12 were decommissioned and another 61 were added."
         Decommissioned anchors stop being selectable as landmarks (their
-        archived mesh pings remain in the cache, as RIPE's archive does);
+        archived mesh pings stay queryable, as RIPE's archive does);
         added anchors appear at hub cities like the originals.
 
-        Calibration sets built before churn keep working for surviving
-        landmarks; rebuild :class:`~repro.core.calibrationset.CalibrationSet`
-        to pick up the newcomers.
+        Churn changes the calibration plane's key, so the next
+        calibration rebuilds the plane over the new constellation;
+        rebuild :class:`~repro.core.calibrationset.CalibrationSet` to
+        look up the newcomers by name.
         """
         rng = rng if rng is not None else self._rng
         if n_decommission > len(self.anchors) - 8:
             raise ValueError("cannot decommission nearly the whole constellation")
+        self._membership_version += 1
         for _ in range(n_decommission):
             index = int(rng.integers(len(self.anchors)))
             self.decommissioned.append(self.anchors.pop(index))

@@ -282,7 +282,7 @@ class Network:
         last_b = np.array([b.last_mile_ms for b in others], dtype=np.float64)
         return 2.0 * ((a.last_mile_ms + paths) + last_b)
 
-    def _congestion_by_city(self) -> np.ndarray:
+    def congestion_by_city(self) -> np.ndarray:
         """Per-city congestion scales, indexed by ``city_id``.
 
         The city list never grows (hosting ASes attach to existing
@@ -378,7 +378,7 @@ class Network:
         scale_a = self.topology.city(a.city_id).congestion_scale_ms
         city_ids = np.fromiter((b.city_id for b in others),
                                dtype=np.intp, count=k)
-        scales = scale_a + self._congestion_by_city()[city_ids]
+        scales = scale_a + self.congestion_by_city()[city_ids]
         noise = rng.exponential(1.0, size=(k, n)) * scales[:, None]
         spikes = rng.random((k, n)) < 0.02
         n_spikes = int(spikes.sum())

@@ -22,10 +22,11 @@ side was vectorised (see :mod:`repro.geo.bank`).
   audit forks its worker pool, so children inherit the matrix as
   copy-on-write pages;
 * with ``REPRO_PATHENGINE_CACHE=<dir>`` set, warmed matrices are persisted
-  as ``.npy`` files keyed by a content digest of the topology plus the
-  source set, and later runs memory-map them back instead of recomputing
-  — a cache hit yields bit-identical distances because float64 values
-  round-trip exactly through the file.
+  in the artifact cache (:mod:`repro.artifacts`) as ``.npy`` files keyed
+  by a content digest of the topology plus the source set, and later
+  runs memory-map them back instead of recomputing — a cache hit yields
+  bit-identical distances because float64 values round-trip exactly
+  through the file.
 
 Everything is versioned against ``topology.version``: a structural
 mutation (hosting-AS creation) rebuilds the CSR matrix and drops every
@@ -46,12 +47,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import config, sanitize
+from .. import artifacts, config, sanitize
 from .topology import RouterId, Topology
 
 try:  # pragma: no cover - exercised implicitly by every engine test
@@ -67,8 +67,9 @@ except ImportError:  # pragma: no cover - container always ships scipy
 #: Declared in :mod:`repro.config`; kept here for importers.
 ENGINE_ENV = config.PATH_ENGINE.name
 
-#: Environment variable naming a directory for persistent warm-start
-#: matrices.  Unset (the default) disables persistence entirely.
+#: Environment variable naming the artifact-cache directory
+#: (:mod:`repro.artifacts`) warm-start matrices persist in.  Unset (the
+#: default) disables persistence entirely.
 CACHE_ENV = config.PATHENGINE_CACHE.name
 
 
@@ -100,9 +101,8 @@ class PathEngine:
             raise ValueError(f"max_rows too small: {max_rows!r}")
         self.topology = topology
         self.max_rows = int(max_rows)
-        env_cache = config.env_value(CACHE_ENV)
-        assert env_cache is None or isinstance(env_cache, str)
-        self.cache_dir = cache_dir if cache_dir is not None else env_cache
+        self.cache_dir = (cache_dir if cache_dir is not None
+                          else artifacts.cache_dir())
         self._version: Optional[int] = None
         self._nodes: List[RouterId] = []
         self._index: Dict[RouterId, int] = {}
@@ -351,26 +351,15 @@ class PathEngine:
             self._adopt(sources, matrix)
             return False
         path = self._warm_cache_path(sources)
-        if os.path.exists(path):
-            matrix = np.load(path, mmap_mode="r")
-            if matrix.shape == (len(sources), len(self._nodes)):
-                self._adopt(sources, matrix)
-                return True
-            # Shape mismatch can only mean a digest collision; recompute.
+        matrix = artifacts.load_npy(path, (len(sources), len(self._nodes)),
+                                    np.dtype(np.float64), mmap=True)
+        if matrix is not None:
+            self._adopt(sources, matrix)
+            return True
+        # A missing, truncated or mismatched file: recompute and persist
+        # (best effort — a read-only cache directory never fails the run).
         matrix = self._compute_rows(sources)
-        tmp_path = None
-        try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            handle, tmp_path = tempfile.mkstemp(dir=self.cache_dir,
-                                                suffix=".npy.tmp")
-            with os.fdopen(handle, "wb") as stream:
-                np.save(stream, matrix)
-            os.replace(tmp_path, path)
-        except OSError:
-            # Persistence is an optimisation; never fail the audit on a
-            # read-only or full cache directory.
-            if tmp_path is not None and os.path.exists(tmp_path):
-                os.unlink(tmp_path)
+        artifacts.save_npy(path, matrix)
         self._adopt(sources, matrix)
         return False
 

@@ -17,6 +17,10 @@ analysis") otherwise only documents:
   deterministically sampled source row against an independent networkx
   Dijkstra sweep, so a torn memmap or stale warm-cache hit cannot feed
   an audit wrong routed delays;
+* **calibration plane** — a plane loaded from the artifact cache has
+  one digest-sampled landmark (its archive row, CBG++ fit and distance
+  field) recomputed and compared bit for bit, so a stale or tampered
+  file cannot calibrate an audit;
 * **checkpoints** — every journalled record is round-tripped through
   the JSON codec before it is written; a payload that cannot be read
   back bit-identically (e.g. a NaN observation) trips immediately
@@ -90,3 +94,14 @@ def check_rows_close(computed: np.ndarray, reference: np.ndarray,
         raise SanitizerError(
             f"shortest-path row diverges from the networkx reference "
             f"by up to {worst!r} ms ({context})")
+
+
+def check_identical(loaded: np.ndarray, recomputed: np.ndarray,
+                    context: str) -> None:
+    """Verify a persisted array equals its recomputation bit for bit."""
+    loaded = np.asarray(loaded)
+    recomputed = np.asarray(recomputed)
+    if loaded.shape != recomputed.shape or not np.array_equal(
+            loaded, recomputed, equal_nan=True):
+        raise SanitizerError(
+            f"persisted value differs from its recomputation ({context})")

@@ -337,15 +337,16 @@ class VerdictService:
                 missing.append(at)
 
         if missing:
+            # Resolve from the batch's own results: a batch measuring more
+            # hosts than the cache holds evicts its earliest entries.
+            measured: Dict[int, _Measurement] = {}
             for host_id, payload in self._evaluate(unmeasured).items():
-                self._measurements.put((host_id, digest),
-                                       _measurement_from(payload))
+                measured[host_id] = _measurement_from(payload)
+                self._measurements.put((host_id, digest), measured[host_id])
             for at in missing:
                 server, claim = normalized[at]
-                measurement = self._measurements.peek(
-                    (server.host.host_id, digest))
-                assert measurement is not None
-                responses[at] = self._resolve(server, claim, measurement)
+                responses[at] = self._resolve(
+                    server, claim, measured[server.host.host_id])
         return [response for response in responses if response is not None]
 
     def region_of(self, target: Target) -> Region:
@@ -627,6 +628,9 @@ class VerdictService:
         use_fork = (workers > 1
                     and "fork" in multiprocessing.get_all_start_methods())
         if use_fork:
+            # Workers inherit the calibration plane instead of each
+            # building its own.
+            self.algorithm.calibrations.ensure_plane()
             global _SERVICE_FORK_STATE
             context = multiprocessing.get_context("fork")
             _SERVICE_FORK_STATE = self

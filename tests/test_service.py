@@ -205,6 +205,17 @@ class TestVerdictDeterminism:
             response = other.verdict(query)
             assert response.canonical_json() == baseline[response.host_id]
 
+    def test_batch_larger_than_the_cache(self, scenario):
+        """A batch that measures more hosts than the cache holds evicts
+        its own earliest measurements; its replies must not need them."""
+        queries = [server.host.host_id
+                   for server in scenario.all_servers()[:40]]
+        small = VerdictService(scenario, seed=0, cache_slots=16)
+        large = VerdictService(scenario, seed=0, cache_slots=1024)
+        assert [r.canonical_json() for r in small.verdict_batch(queries)] \
+            == [r.canonical_json() for r in large.verdict_batch(queries)]
+        assert small.cache_info()["measurements"].evictions > 0
+
     def test_new_claim_on_measured_host_skips_measurement(
             self, service, scenario, fleet):
         first = service.verdict(fleet[0])
