@@ -131,7 +131,13 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_locate(args) -> int:
     from .core import CBG, CBGPlusPlus, QuasiOctant, RttObservation, Spotter
+    from .geodesy.greatcircle import validate_latlon
     from .netsim import CliTool
+    try:
+        validate_latlon(args.lat, args.lon)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     algorithms = {"cbg": CBG, "cbg++": CBGPlusPlus,
                   "quasi-octant": QuasiOctant, "spotter": Spotter}
     scenario = _scenario(args)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geodesy.constants import MAX_PLAUSIBLE_LATITUDE_DEG, MIN_PLAUSIBLE_LATITUDE_DEG
-from ..geodesy.greatcircle import haversine_km, haversine_km_vec
+from ..geodesy.greatcircle import haversine_km_exact, haversine_km_vec
 from .countries import CONTINENTS, Country, CountryRegistry
 from .grid import Grid
 from .region import Region, pack_bits
@@ -73,21 +73,25 @@ class WorldMap:
         for idx, mask in claims:
             sole = mask & (claim_count == 1)
             raster[sole] = idx
-        # Contested cells go to the country with the nearest anchor point.
+        # Contested cells go to the country with the nearest anchor
+        # point; the first of equal distances in (country, anchor) order
+        # wins, as in a scan with a strict ``<``.
         contested = np.flatnonzero(claim_count > 1)
-        for cell in contested:
-            lat = float(grid.cell_lats[cell])
-            lon = float(grid.cell_lons[cell])
-            best_idx, best_distance = OCEAN, float("inf")
-            for idx, mask in claims:
-                if not mask[cell]:
-                    continue
-                for anchor_lat, anchor_lon in self._countries[idx].anchors:
-                    d = haversine_km(lat, lon, anchor_lat, anchor_lon)
-                    if d < best_distance:
-                        best_distance = d
-                        best_idx = idx
-            raster[cell] = best_idx
+        anchor_country = np.array(
+            [idx for idx, country in enumerate(self._countries)
+             for _ in country.anchors], dtype=np.intp)
+        anchor_lats, anchor_lons = np.array(
+            [anchor for country in self._countries
+             for anchor in country.anchors], dtype=np.float64).reshape(-1, 2).T
+        claimed = np.stack([mask[contested] for _, mask in claims])
+        cells, anchors = np.nonzero(claimed[anchor_country].T)
+        distances = haversine_km_exact(
+            grid.cell_lats[contested[cells]], grid.cell_lons[contested[cells]],
+            anchor_lats[anchors], anchor_lons[anchors])
+        order = np.lexsort((distances, cells))
+        _, starts = np.unique(cells[order], return_index=True)
+        first = order[starts]
+        raster[contested[cells[first]]] = anchor_country[anchors[first]]
         # Guarantee every country at least one cell.  Micro-states whose
         # footprint is smaller than a cell get the cell nearest their
         # anchor that does not hold another country's anchor (so Vatican

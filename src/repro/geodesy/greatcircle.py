@@ -12,7 +12,8 @@ are degrees clockwise from true north.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from itertools import repeat
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -69,6 +70,41 @@ def haversine_km_select(lat1: float, lon1: float,
          + math.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2)
     a = np.minimum(1.0, np.maximum(0.0, a))
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+
+
+def _libm(func: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """``func`` of each element, by the ``math`` module."""
+    out = map(func, values.ravel().tolist())
+    return np.fromiter(out, np.float64, values.size).reshape(values.shape)
+
+
+def _libm_square(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each element as Python computes it: libm ``pow``."""
+    out = map(math.pow, values.ravel().tolist(), repeat(2.0))
+    return np.fromiter(out, np.float64, values.size).reshape(values.shape)
+
+
+def haversine_km_exact(lat1: "np.ndarray | float", lon1: "np.ndarray | float",
+                       lat2: "np.ndarray | float", lon2: "np.ndarray | float"
+                       ) -> np.ndarray:
+    """:func:`haversine_km` over arrays, equal to it element for element.
+
+    Broadcasts like :func:`haversine_km_vec`.  ``sin``, ``cos``, ``asin``
+    and the squares (``pow(x, 2.0)``) come from the ``math`` module, as
+    in the scalar function: NumPy's ``arcsin`` and ``x ** 2`` can differ
+    from libm in the last ulp, and its ``sin`` may dispatch to SIMD code.
+    NumPy does only the IEEE-exact arithmetic, in the scalar order.
+    """
+    lat_a, lon_a, lat_b, lon_b = (np.asarray(v, dtype=np.float64)
+                                  for v in (lat1, lon1, lat2, lon2))
+    dphi = (lat_b - lat_a) * DEG_TO_RAD
+    dlam = (lon_b - lon_a) * DEG_TO_RAD
+    a = (_libm_square(_libm(math.sin, dphi / 2.0))
+         + _libm(math.cos, lat_a * DEG_TO_RAD)
+         * _libm(math.cos, lat_b * DEG_TO_RAD)
+         * _libm_square(_libm(math.sin, dlam / 2.0)))
+    a = np.minimum(1.0, np.maximum(0.0, a))
+    return 2.0 * EARTH_RADIUS_KM * _libm(math.asin, np.sqrt(a))
 
 
 def haversine_km_vec(lat1: "np.ndarray | float", lon1: "np.ndarray | float",

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geodesy.greatcircle import haversine_km
+from ..geodesy.greatcircle import haversine_km_exact
 from .cities import City
 from .hosts import Host, HostFactory
 from .meshdraw import mesh_one_way_ms
@@ -66,6 +66,46 @@ class MeshArchive:
             if row is None or col is None:
                 return None
         return float(self.one_way_ms[row, col])
+
+    def lookup_row(self, a: int, peers: Sequence[int]) -> np.ndarray:
+        """:meth:`lookup` of ``(a, b)`` for every ``b`` in ``peers``, read
+        from slices of ``a``'s row and column; NaN where it holds none."""
+        ids = np.asarray(peers, dtype=np.int64)
+        values = np.full(len(ids), np.nan)
+        row, col = self._row.get(a), self._col.get(a)
+        found = np.zeros(len(ids), dtype=bool)
+        if row is not None:
+            cols = np.array([self._col.get(b, -1) for b in ids.tolist()],
+                            dtype=np.intp)
+            found = (ids != a) & (cols >= 0)
+            values[found] = self.one_way_ms[row, cols[found]]
+        if col is not None:
+            rows = np.array([self._row.get(b, -1) for b in ids.tolist()],
+                            dtype=np.intp)
+            back = (ids != a) & ~found & (rows >= 0)
+            values[back] = self.one_way_ms[rows[back], col]
+        return values
+
+
+def _peer_table(peers: Sequence["Landmark"]
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Host ids and reported positions of calibration peers, as arrays."""
+    return (np.array([peer.host.host_id for peer in peers], dtype=np.int64),
+            np.array([peer.lat for peer in peers], dtype=np.float64),
+            np.array([peer.lon for peer in peers], dtype=np.float64))
+
+
+def _calibration_points(landmark: "Landmark", lats: np.ndarray,
+                        lons: np.ndarray, delays: "np.ndarray | Sequence[float]"
+                        ) -> List[Tuple[float, float]]:
+    """Pair each peer's delay with its distance from the landmark."""
+    if len(lats) < 2:
+        raise ValueError(f"not enough peers to calibrate {landmark.name!r}")
+    # Distances are computed from *reported* coordinates — the pipeline
+    # cannot know a probe's registration is wrong.
+    distances = haversine_km_exact(landmark.lat, landmark.lon, lats, lons)
+    return list(zip(distances.tolist(),
+                    np.asarray(delays, dtype=np.float64).tolist()))
 
 
 @dataclass(frozen=True)
@@ -126,6 +166,8 @@ class AtlasConstellation:
         self._mesh_version: Optional[Tuple[int, int]] = None
         self._churn_counter = 0
         self._membership_version = 0  # bumped by every churn
+        self._anchor_peers_version: Optional[int] = None
+        self._anchor_peers = _peer_table([])
         self._place(factory, anchor_quotas or ANCHOR_QUOTAS,
                     probe_quotas or PROBE_QUOTAS)
 
@@ -285,35 +327,33 @@ class AtlasConstellation:
         do not ping the full mesh), excluding itself.
         """
         host_id = landmark.host.host_id
-        peers = [peer for peer in (self.anchors if peers is None else peers)
-                 if peer.host.host_id != host_id]
-        archive = self.ensure_mesh()
-        delays = [archive.lookup(host_id, peer.host.host_id)
-                  for peer in peers]
-        missing = [at for at, delay in enumerate(delays) if delay is None]
-        if missing:
-            drawn = self._draw([(landmark, peers[at]) for at in missing])
-            for at, value in zip(missing, drawn.tolist()):
-                delays[at] = value
-        return self.calibration_points(landmark, peers, delays)
+        if peers is None:
+            peers = self.anchors
+            ids, lats, lons = self._anchor_table()
+        else:
+            ids, lats, lons = _peer_table(peers)
+        keep = np.flatnonzero(ids != host_id)
+        delays = self.ensure_mesh().lookup_row(host_id, ids[keep])
+        missing = np.flatnonzero(np.isnan(delays))
+        if len(missing):
+            delays[missing] = self._draw(
+                [(landmark, peers[at]) for at in keep[missing].tolist()])
+        return _calibration_points(landmark, lats[keep], lons[keep], delays)
+
+    def _anchor_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_peer_table` of the anchors, rebuilt after churn."""
+        if self._anchor_peers_version != self._membership_version:
+            self._anchor_peers = _peer_table(self.anchors)
+            self._anchor_peers_version = self._membership_version
+        return self._anchor_peers
 
     @staticmethod
     def calibration_points(landmark: Landmark, peers: Sequence[Landmark],
-                           delays: Sequence[Optional[float]]
+                           delays: Sequence[float]
                            ) -> List[Tuple[float, float]]:
         """Pair each peer's delay with its distance from the landmark."""
-        data: List[Tuple[float, float]] = []
-        for peer, delay in zip(peers, delays):
-            assert delay is not None
-            # Distances are computed from *reported* coordinates — the
-            # pipeline cannot know a probe's registration is wrong.
-            distance = haversine_km(landmark.lat, landmark.lon,
-                                    peer.lat, peer.lon)
-            data.append((distance, delay))
-        if len(data) < 2:
-            raise ValueError(
-                f"not enough peers to calibrate {landmark.name!r}")
-        return data
+        _, lats, lons = _peer_table(peers)
+        return _calibration_points(landmark, lats, lons, delays)
 
     def apply_churn(self, n_decommission: int = 0, n_add: int = 0,
                     rng: Optional[np.random.Generator] = None) -> None:

@@ -3,7 +3,9 @@
 Newline-delimited JSON over TCP: each request line is
 ``{"host": <hostname|host_id>, "claim": <country|null>}`` and each
 response line is a full :class:`~repro.service.verdict.VerdictResponse`
-serialisation plus the measured ``latency_ms``.
+serialisation plus the measured ``latency_ms``.  A line that is not a
+valid request, or is longer than :data:`REQUEST_LIMIT` bytes, gets an
+``{"error": ...}`` reply.
 
 The concurrency story is deliberately simple and bounded:
 
@@ -30,6 +32,39 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .verdict import VerdictResponse, VerdictService
+
+
+#: Longest request line the frontend reads, bytes (asyncio's default
+#: stream limit); a longer one is refused with ``RequestTooLarge``.
+REQUEST_LIMIT = 2 ** 16
+
+
+class RequestTooLarge(ValueError):
+    """A request line over :data:`REQUEST_LIMIT` bytes."""
+
+
+def encode_reply(reply: "VerdictResponse | Exception",
+                 latency_ms: float) -> bytes:
+    """One response line: the verdict, or the error, plus ``latency_ms``."""
+    if isinstance(reply, VerdictResponse):
+        text = reply.to_json(latency_ms=latency_ms)
+    else:
+        text = json.dumps({"error": f"{type(reply).__name__}: {reply}",
+                           "latency_ms": latency_ms}, sort_keys=True)
+    return (text + "\n").encode()
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Read and drop input up to the next newline or the end of input,
+    one buffer at a time."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
 
 
 @dataclass
@@ -122,26 +157,39 @@ class ServiceFrontend:
 
     async def handle(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
-        """One connection: a JSON request per line, a JSON verdict back."""
+        """One connection: a JSON request per line, a JSON verdict back.
+
+        A line longer than :data:`REQUEST_LIMIT` gets a ``RequestTooLarge``
+        error reply; the rest of that line is read and dropped, and the
+        connection is closed.
+        """
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # the last line, without a newline
+                except asyncio.LimitOverrunError:
+                    self.stats.errors += 1
+                    writer.write(encode_reply(RequestTooLarge(
+                        f"request line exceeds {REQUEST_LIMIT} bytes"), 0.0))
+                    await writer.drain()
+                    await _skip_line(reader)
+                    break
                 if not line:
                     break
                 started = time.monotonic()
+                reply: "VerdictResponse | Exception"
                 try:
                     request = json.loads(line)
                     target = request["host"]
                     claim = request.get("claim")
-                    response = await self.enqueue((target, claim))
-                    payload = json.loads(response.to_json())
+                    reply = await self.enqueue((target, claim))
                 except Exception as exc:  # noqa: BLE001 - sent to the client
                     self.stats.errors += 1
-                    payload = {"error": f"{type(exc).__name__}: {exc}"}
-                payload["latency_ms"] = round(
-                    (time.monotonic() - started) * 1e3, 3)
-                writer.write((json.dumps(payload, sort_keys=True) + "\n")
-                             .encode())
+                    reply = exc
+                writer.write(encode_reply(reply, round(
+                    (time.monotonic() - started) * 1e3, 3)))
                 await writer.drain()
         except (asyncio.CancelledError, ConnectionResetError):
             pass  # server teardown mid-connection is a normal exit
@@ -158,7 +206,8 @@ class ServiceFrontend:
         tests that need to connect as soon as the socket exists).
         """
         self._ensure_started()
-        server = await asyncio.start_server(self.handle, host, port)
+        server = await asyncio.start_server(self.handle, host, port,
+                                            limit=REQUEST_LIMIT)
         self.bound = server.sockets[0].getsockname()
         if ready is not None:
             ready.set()

@@ -144,9 +144,13 @@ class VerdictResponse:
             del payload[name]
         return json.dumps(payload, sort_keys=True)
 
-    def to_json(self) -> str:
-        """Full wire serialisation (volatile fields included)."""
-        return json.dumps(asdict(self), sort_keys=True)
+    def to_json(self, latency_ms: Optional[float] = None) -> str:
+        """Full wire serialisation (volatile fields included), plus the
+        frontend's ``latency_ms`` when given."""
+        payload: Dict[str, object] = asdict(self)
+        if latency_ms is not None:
+            payload["latency_ms"] = latency_ms
+        return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def shed_response(cls, hostname: str, claim: str,

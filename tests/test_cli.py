@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 class TestParser:
@@ -40,6 +47,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "countries:" in out
         assert "DE" in out
+
+    @pytest.mark.parametrize("lat,lon", [
+        ("100", "0"), ("-90.5", "0"), ("0", "400"), ("0", "-181"),
+        ("nan", "0")])
+    def test_locate_rejects_bad_coordinates(self, lat, lon, capsys):
+        assert main(["locate", lat, lon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "out of range" in lines[0]
+
+    def test_locate_bad_coordinates_exit_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "locate", "100", "0"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: latitude out of range [-90, 90]: 100.0\n")
 
     def test_channels_command(self, scenario, capsys):
         assert main(["channels"]) == 0

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.geo import CONTINENTS, Grid, Region, WorldMap
+from repro.geo import CONTINENTS, Country, CountryRegistry, Grid, Region, WorldMap
 from repro.geodesy import SphericalDisk
+
+from .oracles.worldmap import scanned_raster
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +151,39 @@ class TestSampling:
             for _ in range(5):
                 lat, lon = world.random_point_in(code, rng)
                 assert world.country_at(lat, lon) == code
+
+
+class TestRasterOracle:
+    """The vectorised contested-cell assignment against the per-cell scan."""
+
+    @pytest.mark.parametrize("resolution", [1.0, 2.0])
+    def test_raster_bytes_equal_the_scan(self, resolution):
+        # 1° is the default grid; 2° has 16,200 cells, not a whole number
+        # of 64-cell words.
+        world = WorldMap(grid=Grid(resolution_deg=resolution))
+        expected = scanned_raster(list(world.registry), world.grid)
+        assert world.country_raster.dtype == expected.dtype
+        assert world.country_raster.tobytes() == expected.tobytes()
+
+    def test_tiny_world_equals_the_scan(self, tiny_world):
+        expected = scanned_raster(list(tiny_world.registry), tiny_world.grid)
+        assert tiny_world.country_raster.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("first", ["AA", "BB"])
+    def test_equidistant_anchors_go_to_the_first_country(
+            self, first, coarse_grid):
+        # Both countries claim the 4° cell centred on (8, 10); their
+        # nearest anchors lie 4° of longitude either side of it, so the
+        # distances tie exactly and registry order decides, as in the scan.
+        countries = {
+            "AA": Country("AA", "Alphaland", "EU", 1, ((0.0, 20.0, 0.0, 12.0),),
+                          ((8.0, 6.0), (16.0, 2.0))),
+            "BB": Country("BB", "Betaland", "EU", 1, ((0.0, 20.0, 8.0, 20.0),),
+                          ((16.0, 18.0), (8.0, 14.0))),
+        }
+        order = [first] + [code for code in countries if code != first]
+        registry = CountryRegistry([countries[code] for code in order])
+        world = WorldMap(registry=registry, grid=coarse_grid)
+        assert world.country_at(8.0, 10.0) == first
+        expected = scanned_raster(list(registry), coarse_grid)
+        assert world.country_raster.tobytes() == expected.tobytes()

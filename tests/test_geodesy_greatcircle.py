@@ -20,6 +20,7 @@ from repro.geodesy import (
     normalize_lon,
     validate_latlon,
 )
+from repro.geodesy.greatcircle import haversine_km_exact
 
 LONDON = (51.507, -0.128)
 PARIS = (48.857, 2.352)
@@ -89,6 +90,38 @@ class TestHaversine:
         lons = np.linspace(-10, 10, 12).reshape(3, 4)
         out = haversine_km_vec(0.0, 0.0, lats, lons)
         assert out.shape == (3, 4)
+
+
+class TestHaversineExact:
+    """The array form the raster and calibration use must return the
+    scalar function's values exactly, not merely to a tolerance."""
+
+    @given(lat1=lat_strategy, lon1=lon_strategy,
+           lat2=lat_strategy, lon2=lon_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar(self, lat1, lon1, lat2, lon2):
+        exact = haversine_km_exact(lat1, lon1, lat2, lon2)
+        assert exact.shape == ()
+        assert float(exact) == haversine_km(lat1, lon1, lat2, lon2)
+
+    def test_edge_values_equal_scalar(self):
+        points = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 180.0),
+                  (90.0, 0.0, -90.0, 0.0), (0.0, 179.9, 0.0, -179.9),
+                  (*LONDON, *LONDON), (*LONDON, *SYDNEY),
+                  (-89.9, 360.0, 89.9, -180.0)]
+        lat1, lon1, lat2, lon2 = (np.array(column) for column in zip(*points))
+        assert (haversine_km_exact(lat1, lon1, lat2, lon2).tolist()
+                == [haversine_km(*point) for point in points])
+
+    def test_broadcasts_one_point_to_many(self):
+        rng = np.random.default_rng(7)
+        lats = rng.uniform(-90.0, 90.0, (40, 25))
+        lons = rng.uniform(-180.0, 180.0, (40, 25))
+        out = haversine_km_exact(*NYC, lats, lons)
+        assert out.shape == (40, 25)
+        assert out.ravel().tolist() == [
+            haversine_km(*NYC, lat, lon)
+            for lat, lon in zip(lats.ravel().tolist(), lons.ravel().tolist())]
 
 
 class TestDestinationPoint:

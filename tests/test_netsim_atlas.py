@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.experiments.scenario import build_scenario
 from repro.geodesy import BASELINE_SPEED_KM_PER_MS, haversine_km
+from repro.geodesy.greatcircle import haversine_km_exact
 
 
 class TestPlacement:
@@ -87,3 +89,63 @@ class TestMeshDatabase:
         assert len(eu_landmarks) >= len(eu_anchors)
         for lm in eu_anchors:
             assert scenario.topology.city(lm.host.city_id).continent == "EU"
+
+
+@pytest.fixture(scope="module")
+def paper_atlas():
+    # Built, not memoised: the paper-scale substrate is dropped after.
+    return build_scenario(seed=0, proxy_scale=1.0).atlas
+
+
+class TestCalibrationDistances:
+    """Calibration reads archive rows and computes distances as arrays;
+    every point must equal the per-pair lookup and scalar haversine."""
+
+    @pytest.mark.parametrize("which", ["default", "paper"])
+    def test_exact_helper_equals_scalar_over_matrix(
+            self, which, scenario, paper_atlas):
+        atlas = scenario.atlas if which == "default" else paper_atlas
+        lats = np.array([anchor.lat for anchor in atlas.anchors])
+        lons = np.array([anchor.lon for anchor in atlas.anchors])
+        landmarks = atlas.all_landmarks()
+        matrix = haversine_km_exact(
+            np.array([lm.lat for lm in landmarks])[:, None],
+            np.array([lm.lon for lm in landmarks])[:, None], lats, lons)
+        assert matrix.shape == (len(landmarks), len(atlas.anchors))
+        assert matrix.tolist() == [
+            [haversine_km(lm.lat, lm.lon, anchor.lat, anchor.lon)
+             for anchor in atlas.anchors] for lm in landmarks]
+
+    def test_calibration_data_equals_per_pair_reference(self, scenario):
+        atlas = scenario.atlas
+        archive = atlas.ensure_mesh()
+        for landmark in atlas.all_landmarks():
+            host_id = landmark.host.host_id
+            expected = [
+                (haversine_km(landmark.lat, landmark.lon, peer.lat, peer.lon),
+                 archive.lookup(host_id, peer.host.host_id))
+                for peer in atlas.anchors if peer.host.host_id != host_id]
+            assert atlas.calibration_data(landmark) == expected, landmark.name
+
+    def test_custom_peers_draw_what_the_archive_lacks(self, scenario):
+        atlas = scenario.atlas
+        landmark = atlas.probes[0]
+        peers = atlas.probes[1:6] + atlas.anchors[:5] + [landmark]
+        data = atlas.calibration_data(landmark, peers=peers)
+        assert [delay for _, delay in data] == [
+            atlas.min_one_way_ms(landmark, peer) for peer in peers[:-1]]
+        assert [distance for distance, _ in data] == [
+            haversine_km(landmark.lat, landmark.lon, peer.lat, peer.lon)
+            for peer in peers[:-1]]
+
+    def test_lookup_row_equals_lookup(self, scenario):
+        atlas = scenario.atlas
+        archive = atlas.ensure_mesh()
+        ids = [lm.host.host_id for lm in atlas.all_landmarks()] + [-5, 10**9]
+        for landmark in atlas.anchors[:3] + atlas.probes[:3]:
+            host_id = landmark.host.host_id
+            expected = [archive.lookup(host_id, other) for other in ids]
+            row = archive.lookup_row(host_id, ids)
+            assert [None if np.isnan(value) else value
+                    for value in row.tolist()] == expected
+        assert np.isnan(archive.lookup_row(-5, ids)).all()

@@ -23,7 +23,8 @@ from repro.service import (
     VerdictCache,
     VerdictService,
 )
-from repro.service.verdict import CachedVerdict, _knob_or
+from repro.service.frontend import REQUEST_LIMIT, encode_reply
+from repro.service.verdict import CachedVerdict, VerdictResponse, _knob_or
 
 N_SERVERS = 6
 
@@ -419,6 +420,67 @@ class TestFrontend:
         assert verdict["region_sha256"] == expected["region_sha256"]
         assert verdict["latency_ms"] >= 0
         assert "error" in error
+
+
+    def test_reply_bytes_equal_the_decode_reencode_encoding(
+            self, service, fleet):
+        # The frontend once decoded ``to_json()`` and encoded it again
+        # with ``latency_ms`` added; one encode must give the same bytes.
+        def old_reply(payload, latency_ms):
+            payload["latency_ms"] = latency_ms
+            return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+        normal = service.verdict(fleet[0].hostname, "US")
+        shed = VerdictResponse.shed_response(
+            hostname="vpn-x", claim="", epoch_digest=service.epoch.digest)
+        for response in (normal, shed):
+            for latency in (0.0, 1.234, 1e-3, 12345.678):
+                assert encode_reply(response, latency) == old_reply(
+                    json.loads(response.to_json()), latency)
+        error = KeyError("host")
+        assert encode_reply(error, 0.5) == old_reply(
+            {"error": f"{type(error).__name__}: {error}"}, 0.5)
+
+    def test_oversized_line_gets_an_error_reply_and_a_clean_close(
+            self, service, fleet):
+        hostname = fleet[0].hostname
+
+        async def run():
+            frontend = ServiceFrontend(service, queue_max=8)
+            ready = asyncio.Event()
+            server_task = asyncio.ensure_future(
+                frontend.serve(host="127.0.0.1", port=0, ready=ready))
+            await ready.wait()
+            host, port = frontend.bound[:2]
+            replies = []
+            # Longer than the limit without a newline in the first
+            # buffer, and with the newline just past the limit.
+            for padding in (4 * REQUEST_LIMIT, REQUEST_LIMIT):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(json.dumps(
+                    {"host": hostname, "pad": "x" * padding}).encode()
+                    + b"\n")
+                await writer.drain()
+                replies.append((await reader.readline(), await reader.read()))
+                writer.close()
+            # The frontend still serves new connections afterwards.
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(json.dumps({"host": hostname}).encode() + b"\n")
+            await writer.drain()
+            verdict_line = await reader.readline()
+            writer.close()
+            server_task.cancel()
+            frontend.close()
+            return frontend.stats, replies, json.loads(verdict_line)
+
+        stats, replies, verdict = asyncio.run(run())
+        for line, rest in replies:
+            reply = json.loads(line)
+            assert reply["error"].startswith("RequestTooLarge: ")
+            assert rest == b""  # closed by the server, no reset
+        assert stats.errors == 2
+        assert stats.requests == 1
+        assert verdict["hostname"] == hostname
 
 
 # -- cache introspection ------------------------------------------------------
